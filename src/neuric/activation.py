@@ -46,14 +46,13 @@ from .cordic import (
     default_iters,
     gain,
     make_schedule,
-    run_raw,
+    _engine_pass,
 )
 from .fixedpoint import (
     FXP16,
     Fx,
     FxFormat,
     add_raw,
-    convert_raw,
     mul_raw,
     quantize_raw,
     shr_round_raw,
@@ -75,9 +74,10 @@ __all__ = [
     "softmax",
     "apply",
     "clamp_domain",
+    "clamp_domain_raw",
     "eval_raw",
     "softmax_raw",
-    "acc_format",
+    "softmax_acc_format",
 ]
 
 # SoftMax exponential sums need headroom for fifo_depth * 1.0
@@ -129,9 +129,15 @@ class AfConfig:
             raise ValueError("fifo_depth must be >= 1")
         if self.fmt.int_bits < 2:
             raise ValueError("activation formats need int_bits >= 2 of headroom")
+        if self.kind is AfKind.SOFTMAX:
+            try:
+                softmax_acc_format(self.fmt).with_guard()
+            except ValueError:
+                raise ValueError(f"softmax is not available at {self.fmt.name}: its accumulator "
+                                 "plus the engine guard bits exceed the 40-bit datapath") from None
 
 
-def acc_format(fmt: FxFormat) -> FxFormat:
+def softmax_acc_format(fmt: FxFormat) -> FxFormat:
     """Widened SoftMax accumulator layout: same fraction, +6 integer bits."""
     return FxFormat(fmt.word_bits + _ACC_EXTRA_BITS, fmt.frac_bits)
 
@@ -154,26 +160,21 @@ def _sinh_cosh(z, sat, fmt: FxFormat, n: int):
     """(cosh z, sinh z, sat) in ``fmt``; z raw may transiently exceed the
     format as long as it is within the guard format after widening."""
     ifmt = fmt.with_guard()
-    g = ifmt.frac_bits - fmt.frac_bits
     x0 = np.full(np.shape(z), _inv_gain_raw(n, ifmt), dtype=np.int64)
     y0 = np.zeros(np.shape(z), dtype=np.int64)
-    xw, yw, _, sat = run_raw(x0, y0, np.asarray(z, dtype=np.int64) << g, sat,
-                             CordicMode.HYPERBOLIC, Drive.ROTATION, ifmt, n)
-    c, s1 = convert_raw(xw, ifmt, fmt)
-    s, s2 = convert_raw(yw, ifmt, fmt)
-    return c, s, sat | s1 | s2
+    z0 = np.asarray(z, dtype=np.int64) << (ifmt.frac_bits - fmt.frac_bits)
+    c, s, _, sat = _engine_pass(x0, y0, z0, sat, CordicMode.HYPERBOLIC, Drive.ROTATION, fmt, n)
+    return c, s, sat
 
 
 def _div_lv(num, den, sat, fmt: FxFormat, n: int):
     """num/den via linear vectoring; needs den > 0 and |num| <= den."""
-    ifmt = fmt.with_guard()
-    g = ifmt.frac_bits - fmt.frac_bits
-    z0 = np.zeros(np.shape(num), dtype=np.int64)
-    _, _, zw, sat = run_raw(np.asarray(den, dtype=np.int64) << g,
-                            np.asarray(num, dtype=np.int64) << g,
-                            z0, sat, CordicMode.LINEAR, Drive.VECTORING, ifmt, n)
-    q, s1 = convert_raw(zw, ifmt, fmt)
-    return q, sat | s1
+    g = fmt.with_guard().frac_bits - fmt.frac_bits
+    x0 = np.asarray(den, dtype=np.int64) << g
+    y0 = np.asarray(num, dtype=np.int64) << g
+    _, _, q, sat = _engine_pass(x0, y0, np.zeros(np.shape(num), dtype=np.int64), sat,
+                                CordicMode.LINEAR, Drive.VECTORING, fmt, n)
+    return q, sat
 
 
 def _exp_core(x, sat, cfg: AfConfig, kmax: int):
@@ -204,7 +205,8 @@ def _exp_core(x, sat, cfg: AfConfig, kmax: int):
     return np.clip(e, 0, None), sat
 
 
-def _clamp_dom(x, cfg: AfConfig):
+def clamp_domain_raw(x, cfg: AfConfig):
+    """Clamp raws to +-max_norm (domain policy: raises no saturation)."""
     hi = min(_const(cfg.max_norm, cfg.fmt), cfg.fmt.max_raw)
     return np.clip(np.asarray(x, dtype=np.int64), -hi, hi)
 
@@ -239,12 +241,12 @@ def _tanh_inner(x, sat, cfg: AfConfig):
 
 
 def _tanh_kernel(x, sat, cfg: AfConfig):
-    return _tanh_inner(_clamp_dom(x, cfg), sat, cfg)
+    return _tanh_inner(clamp_domain_raw(x, cfg), sat, cfg)
 
 
 def _sigmoid_kernel(x, sat, cfg: AfConfig):
     one = np.int64(_const(1.0, cfg.fmt))
-    h = shr_round_raw(_clamp_dom(x, cfg), 1)
+    h = shr_round_raw(clamp_domain_raw(x, cfg), 1)
     t, sat = _tanh_inner(h, sat, cfg)
     s, sat = add_raw(t, one, cfg.fmt, sat)
     return shr_round_raw(s, 1), sat
@@ -255,7 +257,7 @@ def _relu_kernel(x, sat, cfg: AfConfig):
 
 
 def _swish_kernel(x, sat, cfg: AfConfig):
-    xc = _clamp_dom(x, cfg)
+    xc = clamp_domain_raw(x, cfg)
     s, sat = _sigmoid_kernel(xc, sat, cfg)
     count_muls(int(np.size(xc)))
     return mul_raw(xc, s, cfg.fmt, sat)
@@ -266,7 +268,7 @@ def _gelu_kernel(x, sat, cfg: AfConfig):
     one = np.int64(_const(1.0, fmt))
     c0 = np.int64(_const(cfg.gelu_c0, fmt))
     c1 = np.int64(_const(cfg.gelu_c1, fmt))
-    xc = _clamp_dom(x, cfg)
+    xc = clamp_domain_raw(x, cfg)
     lanes = int(np.size(xc))
     count_muls(5 * lanes)
     # cubic built small-constant-first: |c1*x^3| <= 7.44 at |x| <= 5.5, so no
@@ -277,7 +279,7 @@ def _gelu_kernel(x, sat, cfg: AfConfig):
     t3, sat = mul_raw(t2, xc, fmt, sat)
     inner, sat = add_raw(xc, t3, fmt, sat)
     arg, sat = mul_raw(inner, c0, fmt, sat)
-    t, sat = _tanh_inner(_clamp_dom(arg, cfg), sat, cfg)
+    t, sat = _tanh_inner(clamp_domain_raw(arg, cfg), sat, cfg)
     s, sat = add_raw(t, one, fmt, sat)
     return mul_raw(xc, shr_round_raw(s, 1), fmt, sat)
 
@@ -287,7 +289,7 @@ def _selu_kernel(x, sat, cfg: AfConfig):
     one = np.int64(_const(1.0, fmt))
     lam = np.int64(_const(cfg.selu_lambda, fmt))
     lam_alpha = np.int64(_const(cfg.selu_lambda * cfg.selu_alpha, fmt))
-    xc = _clamp_dom(x, cfg)
+    xc = clamp_domain_raw(x, cfg)
     out = np.zeros(np.shape(xc), dtype=np.int64)
     sat = np.array(sat, dtype=bool, copy=True)
     pos = xc > 0
@@ -343,17 +345,17 @@ def softmax_raw(x, sat, cfg: AfConfig):
         raise ValueError("softmax needs at least one element")
     one = np.int64(_const(1.0, fmt))
     sat = np.array(np.broadcast_to(np.asarray(sat, dtype=bool), x2.shape), copy=True)
-    xc = _clamp_dom(x2, cfg)
+    xc = clamp_domain_raw(x2, cfg)
     d, sat = sub_raw(xc, xc.max(axis=1, keepdims=True), fmt, sat)
     e, sat_f = _exp_core(d.ravel(), sat.ravel(), cfg, kmax=4)
     e = np.clip(e, 0, one).reshape(x2.shape)
     sat = sat_f.reshape(x2.shape)
-    afmt = acc_format(fmt)
     totals = e.sum(axis=1, keepdims=True)          # exact: fits the accumulator span
     q, sat_f = _div_lv(e.ravel(), np.broadcast_to(totals, x2.shape).ravel(),
-                       sat.ravel(), afmt, n)
-    q2, s1 = convert_raw(q.reshape(x2.shape), afmt, fmt)
-    return np.clip(q2, 0, one), sat_f.reshape(x2.shape) | s1
+                       sat.ravel(), softmax_acc_format(fmt), n)
+    # same fraction as fmt, and |q| stays below the schedule sum (< 2 <= fmt's
+    # ceiling), so clipping to [0, 1] is the whole narrowing back to fmt
+    return np.clip(q.reshape(x2.shape), 0, one), sat_f.reshape(x2.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +375,7 @@ def _elementwise(kind: AfKind, x: Fx, cfg: AfConfig) -> Fx:
 def clamp_domain(v: Fx, cfg: AfConfig) -> Fx:
     """Clamp to +-max_norm (domain policy: does not set the sat flag)."""
     _check_fmt(v, cfg)
-    return Fx(int(_clamp_dom(np.array([v.raw], dtype=np.int64), cfg)[0]), cfg.fmt, v.sat)
+    return Fx(int(clamp_domain_raw(np.array([v.raw], dtype=np.int64), cfg)[0]), cfg.fmt, v.sat)
 
 
 def exp_fx(x: Fx, cfg: AfConfig) -> Fx:

@@ -4,6 +4,7 @@ Subcommands:
 
 * ``eval``       one activation at one point (``--raw`` takes the integer code)
 * ``sweep``      activation vs oracle over a linspace, CSV/JSON rows
+  (``eval`` and ``sweep`` refuse softmax, which has no per-point value)
 * ``montecarlo`` seeded uniform-sampling error report
 * ``cycles``     deterministic cycle model for a MAC+AF vector
 * ``golden``     seeded raw-level vectors for the fixed-point ops
@@ -22,7 +23,7 @@ import sys
 import numpy as np
 
 from . import analysis
-from .activation import AfConfig, AfKind, CapacityError, eval_raw, softmax_raw
+from .activation import AfConfig, AfKind, CapacityError, eval_raw
 from .cordic import RangeError
 from .fixedpoint import (
     FORMATS,
@@ -98,23 +99,19 @@ def _emit(text: str, out_path) -> None:
 
 
 def _af_config(args) -> AfConfig:
-    fmt = FORMATS[args.format]
-    return AfConfig(AfKind(args.af), fmt, n_iters=args.iters)
+    if args.af == AfKind.SOFTMAX.value and args.command in ("eval", "sweep"):
+        raise ValueError(f"softmax is vector-valued, so {args.command} has no per-point "
+                         "result; use 'neuric montecarlo --af softmax'")
+    return AfConfig(AfKind(args.af), FORMATS[args.format], n_iters=args.iters)
 
 
 _SWEEP_HEAD = "x_real,af,format,y_fx_real,y_oracle,abs_err,rel_err"
 
 
 def _sweep_rows(xs, cfg: AfConfig):
-    kind = cfg.kind
     raw, sat = quantize_raw(xs, cfg.fmt)
-    if kind is AfKind.SOFTMAX:
-        out, _ = softmax_raw(raw.reshape(-1, 1), sat.reshape(-1, 1), cfg)
-        out = out.ravel()
-        ref = np.ones_like(xs)
-    else:
-        out, _ = eval_raw(kind, raw, sat, cfg)
-        ref = analysis.oracle(kind, xs, cfg)
+    out, _ = eval_raw(cfg.kind, raw, sat, cfg)
+    ref = analysis.oracle(cfg.kind, xs, cfg)
     y = out * cfg.fmt.lsb
     abs_err = np.abs(y - ref)
     with np.errstate(divide="ignore", invalid="ignore"):

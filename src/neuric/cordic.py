@@ -167,13 +167,17 @@ def make_schedule(mode: CordicMode, n_iters: int) -> IterationSchedule:
     return IterationSchedule(mode, tuple(indices[:n_iters]))
 
 
+@lru_cache(maxsize=None)
+def _angle_raws(mode: CordicMode, indices: tuple[int, ...], fmt: FxFormat) -> tuple[int, ...]:
+    vals = np.array([angle_value(mode, i) for i in indices], dtype=np.float64)
+    return tuple(int(r) for r in quantize_raw(vals, fmt)[0])
+
+
 def angle_table(mode: CordicMode, schedule: IterationSchedule, fmt: FxFormat) -> AngleTable:
     """Table entries quantized to ``fmt`` (round half to even)."""
     if schedule.mode is not mode:
         raise ValueError("schedule mode mismatch")
-    vals = np.array([angle_value(mode, i) for i in schedule.indices], dtype=np.float64)
-    raw, _ = quantize_raw(vals, fmt)
-    return AngleTable(mode, fmt, tuple(Fx(int(r), fmt) for r in raw))
+    return AngleTable(mode, fmt, tuple(Fx(r, fmt) for r in _angle_raws(mode, schedule.indices, fmt)))
 
 
 def gain(mode: CordicMode, schedule: IterationSchedule) -> float:
@@ -249,14 +253,6 @@ def count_muls(lanes: int) -> None:
 # ---------------------------------------------------------------------------
 # raw engine
 
-@lru_cache(maxsize=None)
-def _schedule_table(mode: CordicMode, n_iters: int, fmt: FxFormat):
-    sched = make_schedule(mode, n_iters)
-    vals = np.array([angle_value(mode, i) for i in sched.indices], dtype=np.float64)
-    raw, _ = quantize_raw(vals, fmt)
-    return sched.indices, tuple(int(r) for r in raw)
-
-
 def _iterate_once(x, y, z, sat, mode: CordicMode, d, shift: int, e_raw: int, fmt: FxFormat):
     m = int(mode)
     lo, hi = fmt.min_raw, fmt.max_raw
@@ -288,7 +284,8 @@ def run_raw(x, y, z, sat, mode: CordicMode, drive: Drive, fmt: FxFormat,
     (x, y, z, sat).  When ``trace`` is a list, one (k, d, x, y, z) snapshot
     is appended per iteration.
     """
-    indices, table = _schedule_table(mode, n_iters, fmt)
+    indices = make_schedule(mode, n_iters).indices
+    table = _angle_raws(mode, indices, fmt)
     rotation = drive is Drive.ROTATION
     c = _COUNTER.get()
     if c is not None:
@@ -304,18 +301,24 @@ def run_raw(x, y, z, sat, mode: CordicMode, drive: Drive, fmt: FxFormat,
     return x, y, z, sat
 
 
+def _engine_pass(x, y, z, sat, mode: CordicMode, drive: Drive, fmt: FxFormat,
+                 n_iters: int, trace: list | None = None):
+    """The one widen->iterate->narrow path: iterate raws that callers have
+    already placed in ``fmt.with_guard()``, then narrow all three outputs
+    back to ``fmt``, ORing every narrowing saturation into ``sat``."""
+    ifmt = fmt.with_guard()
+    x, y, z, sat = run_raw(x, y, z, sat, mode, drive, ifmt, n_iters, trace)
+    x, s1 = convert_raw(x, ifmt, fmt)
+    y, s2 = convert_raw(y, ifmt, fmt)
+    z, s3 = convert_raw(z, ifmt, fmt)
+    return x, y, z, sat | s1 | s2 | s3
+
+
 def run_guarded(x, y, z, sat, mode: CordicMode, drive: Drive, fmt: FxFormat, n_iters: int):
     """Widen raws from ``fmt`` into its guard format, run, narrow back."""
-    ifmt = fmt.with_guard()
-    g = ifmt.frac_bits - fmt.frac_bits
-    xw = np.asarray(x, dtype=np.int64) << g
-    yw = np.asarray(y, dtype=np.int64) << g
-    zw = np.asarray(z, dtype=np.int64) << g
-    xw, yw, zw, sat = run_raw(xw, yw, zw, sat, mode, drive, ifmt, n_iters)
-    xo, s1 = convert_raw(xw, ifmt, fmt)
-    yo, s2 = convert_raw(yw, ifmt, fmt)
-    zo, s3 = convert_raw(zw, ifmt, fmt)
-    return xo, yo, zo, sat | s1 | s2 | s3
+    g = fmt.with_guard().frac_bits - fmt.frac_bits
+    x, y, z = (np.asarray(a, dtype=np.int64) << g for a in (x, y, z))
+    return _engine_pass(x, y, z, sat, mode, drive, fmt, n_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +375,11 @@ def run(x0: Fx, y0: Fx, z0: Fx, mode: CordicMode, drive: Drive,
     if n < 1:
         raise ValueError("n_iters must be >= 1")
     raw_trace: list | None = [] if trace is not None else None
-    sat_in = np.array([x0.sat or y0.sat or z0.sat])
-    x = np.array([x0.raw], dtype=np.int64)
-    y = np.array([y0.raw], dtype=np.int64)
-    z = np.array([z0.raw], dtype=np.int64)
-    ifmt = fmt.with_guard()
-    g = ifmt.frac_bits - fmt.frac_bits
-    xw, yw, zw, sat = run_raw(x << g, y << g, z << g, sat_in, mode, drive, ifmt, n, raw_trace)
-    xo, s1 = convert_raw(xw, ifmt, fmt)
-    yo, s2 = convert_raw(yw, ifmt, fmt)
-    zo, s3 = convert_raw(zw, ifmt, fmt)
-    flag = bool((sat | s1 | s2 | s3)[0])
+    g = fmt.with_guard().frac_bits - fmt.frac_bits
+    x, y, z = (np.array([v.raw], dtype=np.int64) << g for v in (x0, y0, z0))
+    xo, yo, zo, sat = _engine_pass(x, y, z, np.array([x0.sat or y0.sat or z0.sat]),
+                                   mode, drive, fmt, n, raw_trace)
+    flag = bool(sat[0])
     if trace is not None and raw_trace is not None:
         for k, d, tx, ty, tz in raw_trace:
             trace.append(TraceRow(k, int(d[0]), int(tx[0]), int(ty[0]), int(tz[0])))

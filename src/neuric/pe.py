@@ -3,9 +3,9 @@
 The MAC is one linear-rotation pass (x0 = w, y0 = acc, z0 = x drives
 y -> acc + w * x), accumulated in a double-width layout (2x word, 2x
 fraction) so products keep full precision until the final narrowing.
-``neuron`` is literally a fold of ``mac`` followed by ``apply``; the batch
-``layer`` runs the same kernels over lane arrays, so scalar and batched
-results are bit-identical.
+``layer`` (batch x units lanes), ``run_batch`` (one lane per row) and
+``neuron`` (one lane) share one lane kernel for the MAC fold, ``_fold_raw``,
+so scalar and batched results are bit-identical by construction.
 
 Accuracy note: the 0..N-1 linear schedule sums to 2 - 2**(1-N), so the MAC
 is exact-to-rounding for |x| below that; operands are expected in the
@@ -41,17 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activation import (
-    AfConfig,
-    AfKind,
-    _clamp_dom,
-    apply,
-    clamp_domain,
-    eval_raw,
-    softmax_raw,
-)
-from .cordic import CordicMode, Drive, LR_RANGE, run_raw
-from .fixedpoint import FORMATS, Fx, FxFormat, convert, convert_raw, from_real, quantize_raw
+from .activation import AfConfig, AfKind, clamp_domain_raw, eval_raw, softmax_raw
+from .cordic import LR_RANGE, CordicMode, Drive, _engine_pass
+from .fixedpoint import FORMATS, Fx, FxFormat, convert_raw, quantize_raw
 
 __all__ = [
     "ExecStrategy",
@@ -143,19 +135,39 @@ def cycles(cfg: NeuricConfig, vector_len: int) -> CycleReport:
 def _mac_raw(acc, x, w, io_fmt: FxFormat, acc_fmt: FxFormat, n: int, sat=False):
     """acc + w * x over raw lanes; acc in ``acc_fmt``, x/w in ``io_fmt``."""
     g = acc_fmt.frac_bits - io_fmt.frac_bits
-    wq = np.asarray(w, dtype=np.int64) << g
-    zq = np.asarray(x, dtype=np.int64) << g
+    gg = acc_fmt.with_guard().frac_bits - acc_fmt.frac_bits
     # clamp z0 to the published linear-rotation bound
     zmax = min(int(np.rint(LR_RANGE * (1 << acc_fmt.frac_bits))), acc_fmt.max_raw)
-    zq = np.clip(zq, -zmax, zmax)
-    ifmt = acc_fmt.with_guard()
-    gg = ifmt.frac_bits - acc_fmt.frac_bits
-    sat = np.broadcast_to(np.asarray(sat, dtype=bool),
-                          np.broadcast(np.asarray(acc), zq).shape)
-    _, yw, _, sat = run_raw((wq << gg), np.asarray(acc, dtype=np.int64) << gg,
-                            zq << gg, sat, CordicMode.LINEAR, Drive.ROTATION, ifmt, n)
-    out, s1 = convert_raw(yw, ifmt, acc_fmt)
-    return out, sat | s1
+    z0 = np.clip(np.asarray(x, dtype=np.int64) << g, -zmax, zmax) << gg
+    x0 = np.asarray(w, dtype=np.int64) << (g + gg)
+    y0 = np.asarray(acc, dtype=np.int64) << gg
+    _, y, _, sat = _engine_pass(x0, y0, z0, sat, CordicMode.LINEAR, Drive.ROTATION, acc_fmt, n)
+    return y, sat
+
+
+def _fold_raw(b, x, w, sat, cfg: NeuricConfig, lengths=None):
+    """Bias plus one ``_mac_raw`` per input position (last axis of ``x``,
+    ``w``; ``sat`` has the lane shape, the other axes and ``b`` broadcast to
+    it), narrowed to the I/O format and clamped to the activation domain.
+    With ``lengths`` (lanes sorted by descending length), position l runs
+    only the leading lanes still inside their length."""
+    io, afmt, n = cfg.fmt, acc_format(cfg.fmt), cfg.n_iters
+    sat = np.array(sat, dtype=bool)
+    acc = np.broadcast_to(np.asarray(b, dtype=np.int64) << (afmt.frac_bits - io.frac_bits),
+                          sat.shape).copy()
+    for l in range(x.shape[-1]):
+        k = None if lengths is None else int(np.count_nonzero(lengths > l))
+        acc[:k], sat[:k] = _mac_raw(acc[:k], x[:k, ..., l], w[:k, ..., l], io, afmt, n, sat[:k])
+    out, s = convert_raw(acc, afmt, io)
+    return clamp_domain_raw(out, cfg.af), sat | s
+
+
+def _activate(acc, sat, af: AfConfig):
+    """The configured activation over fold results; softmax runs along the
+    last axis."""
+    if af.kind is AfKind.SOFTMAX:
+        return softmax_raw(acc, sat, af)
+    return eval_raw(af.kind, acc, sat, af)
 
 
 def mac(acc: Fx, x: Fx, w: Fx, cfg: NeuricConfig) -> Fx:
@@ -174,60 +186,45 @@ def mac(acc: Fx, x: Fx, w: Fx, cfg: NeuricConfig) -> Fx:
 
 
 def neuron(inputs: list[Fx], weights: list[Fx], bias: Fx, cfg: NeuricConfig) -> Fx:
-    """Fold of ``mac`` over the input/weight pairs starting from the bias,
-    narrowed to the I/O format, clamped to the activation domain, then one
-    ``apply`` of the configured activation."""
+    """One lane of the shared fold (``_fold_raw``): the MAC over the
+    input/weight pairs from the bias, narrowed to the I/O format, clamped
+    to the activation domain, then the configured activation."""
     if len(inputs) != len(weights) or not inputs:
         raise ValueError("inputs and weights must be equal-length and nonempty")
-    if bias.fmt != cfg.fmt:
-        raise ValueError("bias must be in the PE I/O format")
-    acc = convert(bias, acc_format(cfg.fmt))
-    for x, w in zip(inputs, weights):
-        acc = mac(acc, x, w, cfg)
-    out = clamp_domain(convert(acc, cfg.fmt), cfg.af)
-    return apply(cfg.af, [out])[0]
+    if any(v.fmt != cfg.fmt for v in (bias, *inputs, *weights)):
+        raise ValueError("bias, inputs and weights must be in the PE I/O format")
+    x = np.array([[v.raw for v in inputs]], dtype=np.int64)
+    w = np.array([[v.raw for v in weights]], dtype=np.int64)
+    sat = np.array([any(v.sat for v in (bias, *inputs, *weights))])
+    acc, sat = _fold_raw(np.array([bias.raw]), x, w, sat, cfg)
+    out, sat = _activate(acc[:, None], sat[:, None], cfg.af)
+    return Fx(int(out[0, 0]), cfg.fmt, bool(sat[0, 0]))
 
 
 def layer(x, weights, biases, cfg: NeuricConfig):
     """Batched dense layer: real-valued arrays in, real-valued array out.
 
     ``x`` is (batch, in_dim), ``weights`` (units, in_dim), ``biases``
-    (units,).  Each unit runs the same fold as ``neuron`` over raw lane
-    arrays; softmax applies across units per batch row.  Returns
-    (outputs (batch, units), sat_events) where sat_events counts output
-    lanes whose sticky saturation flag is set.
+    (units,).  One ``_fold_raw`` over (batch, units) lanes runs every
+    neuron at once, one engine call per input position; softmax applies
+    across units per batch row.  Returns (outputs (batch, units),
+    sat_events) where sat_events counts output lanes whose sticky
+    saturation flag is set.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
     biases = np.asarray(biases, dtype=np.float64)
     if weights.shape[1] != x.shape[1] or biases.shape != (weights.shape[0],):
         raise ValueError("shape mismatch between x, weights, biases")
-    io, afmt, n = cfg.fmt, acc_format(cfg.fmt), cfg.n_iters
-    xq, sx = quantize_raw(x, io)
-    wq, sw = quantize_raw(weights, io)
-    bq, sb = quantize_raw(biases, io)
-    batch, units = x.shape[0], weights.shape[0]
-    acc = np.empty((batch, units), dtype=np.int64)
-    sat = np.empty((batch, units), dtype=bool)
-    g = afmt.frac_bits - io.frac_bits
-    for u in range(units):
-        a = np.full(batch, int(bq[u]) << g, dtype=np.int64)
-        s = sx.any(axis=1) | sw[u].any() | sb[u]
-        for l in range(x.shape[1]):
-            a, s = _mac_raw(a, xq[:, l], np.full(batch, wq[u, l], dtype=np.int64),
-                            io, afmt, n, sat=s)
-        acc[:, u] = a
-        sat[:, u] = s
-    narrowed, s1 = convert_raw(acc, afmt, io)
-    sat |= s1
-    narrowed = _clamp_dom(narrowed, cfg.af)
-    if cfg.af.kind is AfKind.SOFTMAX:
-        out, sat = softmax_raw(narrowed, sat, cfg.af)
-    else:
-        out, sat = eval_raw(cfg.af.kind, narrowed.ravel(), sat.ravel(), cfg.af)
-        out = out.reshape(batch, units)
-        sat = sat.reshape(batch, units)
-    return out * io.lsb, int(sat.sum())
+    if x.shape[1] == 0:
+        raise ValueError("layer needs in_dim >= 1")
+    xq, sx = quantize_raw(x, cfg.fmt)
+    wq, sw = quantize_raw(weights, cfg.fmt)
+    bq, sb = quantize_raw(biases, cfg.fmt)
+    sat = sx.any(axis=1)[:, None] | sw.any(axis=1) | sb
+    acc, sat = _fold_raw(bq, xq[:, None, :], wq[None, :, :], sat, cfg)
+    out, sat = _activate(acc, sat, cfg.af)
+    return out * cfg.fmt.lsb, int(sat.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -254,22 +251,27 @@ def run_batch(payload: dict) -> dict:
     bias = payload["bias"]
     if not (len(rows) == len(weights) == len(bias)):
         raise ValueError("inputs, weights, bias must have matching row counts")
-    outputs: list[float] = []
-    sat_events = 0
-    totals = {"mac_cycles": 0, "af_cycles": 0, "total": 0, "shift_add_ops": 0}
-    for xs, ws, b in zip(rows, weights, bias):
-        if len(xs) != len(ws) or not xs:
-            raise ValueError("each row needs equal-length nonempty inputs and weights")
-        y = neuron([from_real(v, fmt) for v in xs],
-                   [from_real(v, fmt) for v in ws], from_real(b, fmt), cfg)
-        outputs.append(y.value)
-        sat_events += int(y.sat)
-        rep = cycles(cfg, len(xs))
-        totals["mac_cycles"] += rep.mac_cycles
-        totals["af_cycles"] += rep.af_cycles
-        totals["total"] += rep.total
-        totals["shift_add_ops"] += rep.shift_add_ops
-    return {"schema": 1, "outputs": outputs, "cycles": totals, "sat_events": sat_events}
+    if any(len(xs) != len(ws) or not xs for xs, ws in zip(rows, weights)):
+        raise ValueError("each row needs equal-length nonempty inputs and weights")
+    # lanes sorted by descending length, zero-padded to the longest row
+    lengths = np.array([len(xs) for xs in rows], dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    inside = np.arange(lengths.max(initial=0)) < lengths[order][:, None]
+    xr, wr = np.zeros((2, *inside.shape))
+    xr[inside] = [v for r in order for v in rows[r]]
+    wr[inside] = [v for r in order for v in weights[r]]
+    xq, sx = quantize_raw(xr, fmt)
+    wq, sw = quantize_raw(wr, fmt)
+    bq, sb = quantize_raw(np.asarray(bias, dtype=np.float64)[order], fmt)
+    acc, sat = _fold_raw(bq, xq, wq, sx.any(axis=1) | sw.any(axis=1) | sb, cfg, lengths[order])
+    out, sat = _activate(acc[:, None], sat[:, None], af)
+    outputs = np.empty(len(order))
+    outputs[order] = out[:, 0] * fmt.lsb
+    reps = [cycles(cfg, length) for length in lengths.tolist()]
+    totals = {key: sum(getattr(r, key) for r in reps)
+              for key in ("mac_cycles", "af_cycles", "total", "shift_add_ops")}
+    return {"schema": 1, "outputs": outputs.tolist(), "cycles": totals,
+            "sat_events": int(sat.sum())}
 
 
 def run_batch_file(in_path, out_path=None) -> dict:

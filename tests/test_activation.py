@@ -11,7 +11,6 @@ from neuric.activation import (
     AfKind,
     CapacityError,
     RangeError,
-    acc_format,
     apply,
     clamp_domain,
     eval_raw,
@@ -21,6 +20,7 @@ from neuric.activation import (
     selu,
     sigmoid,
     softmax,
+    softmax_acc_format as acc_format,
     softmax_raw,
     swish,
     tanh_af,
@@ -80,6 +80,13 @@ class TestConfig:
     def test_acc_format(self):
         assert acc_format(FXP16) == FxFormat(22, 12)
         assert acc_format(FXP8) == FxFormat(14, 5)
+
+    def test_softmax_refused_where_accumulator_does_not_fit(self):
+        # 38-bit accumulator + 4 engine guard bits exceed the 40-bit datapath
+        with pytest.raises(ValueError, match=r"softmax is not available at q3\.28"):
+            AfConfig(K.SOFTMAX, FXP32)
+        assert AfConfig(K.TANH, FXP32).kind is K.TANH
+        assert AfConfig(K.SOFTMAX, FXP16).kind is K.SOFTMAX
 
 
 class TestExp:

@@ -122,6 +122,15 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--af", "tanh", "--samples", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [("sweep", "--af", "softmax"),
+                                      ("eval", "--af", "softmax", "--x", "0.5")],
+                             ids=["sweep", "eval"])
+    def test_softmax_refused_per_point(self, capsys, argv):
+        # a per-point softmax is a length-1 vector: always 1.0, nothing to sweep
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "softmax is vector-valued" in err and "neuric montecarlo --af softmax" in err
+
 
 class TestMonteCarlo:
     def test_json_report(self, capsys):
@@ -157,6 +166,12 @@ class TestMonteCarlo:
         code, _, err = run_cli(capsys, "montecarlo", "--af", "tanh",
                                "--range", "-9", "9")
         assert code == 1 and "error" in err
+
+    def test_softmax_fxp32_refused_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "montecarlo", "--af", "softmax",
+                                 "--format", "fxp32", "--samples", "64")
+        assert code == 1 and out == ""
+        assert "neuric montecarlo: error: softmax is not available at q3.28" in err
 
 
 class TestCycles:

@@ -251,6 +251,11 @@ class TestLayer:
         with pytest.raises(ValueError):
             layer(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros(3), cfg)
 
+    def test_in_dim_zero_refused(self):
+        # as neuron refuses an empty input list, a layer needs an input
+        with pytest.raises(ValueError, match="in_dim"):
+            layer(np.zeros((2, 0)), np.zeros((3, 0)), np.zeros(3), pe16())
+
     def test_sat_events_count(self):
         cfg = pe16(K.RELU)
         x = np.full((3, 2), 7.0)
@@ -387,6 +392,13 @@ class TestRunBatch:
         bad2 = dict(self.PAYLOAD, inputs=[[1.0], [0.5, -0.5]])
         with pytest.raises(ValueError):
             run_batch(bad2)
+
+    def test_zero_rows(self):
+        for af in ("tanh", "softmax"):
+            empty = {"config": {"af": af}, "inputs": [], "weights": [], "bias": []}
+            assert run_batch(empty) == {
+                "schema": 1, "outputs": [], "sat_events": 0,
+                "cycles": {"mac_cycles": 0, "af_cycles": 0, "total": 0, "shift_add_ops": 0}}
 
     def test_file_round_trip(self, tmp_path):
         src = tmp_path / "in.json"
